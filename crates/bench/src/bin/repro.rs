@@ -17,10 +17,10 @@
 //!   lifetime network-lifetime comparison (2 J battery, hottest node)
 //!   reliability  seeded chaos harness: availability, detection rate,
 //!                recovery overhead (also writes BENCH_reliability.json)
-//!   throughput   parallel epoch pipeline: epochs/sec vs thread count,
+//!   throughput   parallel epoch engine: epochs/sec vs thread count,
 //!                digest-checked against the serial engine and across
-//!                hash lane widths W ∈ {1,4,8} (also writes
-//!                BENCH_throughput.json)
+//!                hash lane widths W ∈ {1,4,8,16}, then a scale sweep
+//!                to N=1M (also writes BENCH_throughput.json)
 //!   micro    modexp kernels (windowed Montgomery, CRT, batch inversion)
 //!            and lane-batched PRF kernels (hm1/hm256_epoch_many,
 //!            derive_mod_p_many at x4/x8) vs their generic oracles;
@@ -207,7 +207,7 @@ usage: repro [--fast] [--epochs E] [--secoa-epochs E] [--seed S] [--chaos-epochs
              [--threads T] [--max-n N] [--paper-costs] [--baseline FILE]
              [--forensics] [--out DIR] <experiment>...
 
-`--max-n N` caps the struct-of-arrays scale sweep of the throughput
+`--max-n N` caps the scale sweep of the throughput
 experiment (default 1000000). `--forensics` makes the trace experiment
 also correlate telemetry events with the replayed signed receipt
 journal into per-epoch incident reports (forensics.json).
@@ -503,9 +503,8 @@ fn reliability(opts: &Options, chaos_epochs: u64, threads: Threads, out: &Path) 
     let _ = write_json_seeded(Path::new("."), "BENCH_reliability", opts.seed, &points);
 }
 
-/// Environment header of `BENCH_throughput.json`: detected cores and
-/// peak RSS make a 1.0x speedup on a 1-core container self-explaining
-/// and the memory budget machine-checkable.
+/// Environment header of `BENCH_throughput.json`: detected cores make a
+/// 1.0x speedup on a 1-core container self-explaining.
 #[derive(serde::Serialize)]
 struct ThroughputHeader {
     /// Detected CPU cores (`std::thread::available_parallelism`); on a
@@ -526,9 +525,41 @@ struct ThroughputHeader {
 struct ThroughputArtifact {
     header: ThroughputHeader,
     sweep: Vec<throughput::ThroughputPoint>,
-    scale: Vec<throughput::ScalePoint>,
-    prewarm: Vec<throughput::PrewarmPoint>,
-    soa_vs_legacy: Option<throughput::SoaComparison>,
+    scale: Vec<throughput::ThroughputPoint>,
+}
+
+/// Renders thread-sweep rows as the table `repro throughput` prints.
+fn throughput_table(points: &[throughput::ThroughputPoint]) -> String {
+    let rows: Vec<Vec<String>> = points
+        .iter()
+        .map(|p| {
+            vec![
+                p.n.to_string(),
+                p.threads.to_string(),
+                p.epochs.to_string(),
+                format!("{:.2}", p.epochs_per_sec),
+                fmt_ms(p.wall_ms),
+                fmt_ms(p.source_cpu_ms),
+                fmt_ms(p.aggregator_cpu_ms),
+                fmt_ms(p.querier_cpu_ms),
+                format!("{:.2}x", p.speedup_vs_serial),
+            ]
+        })
+        .collect();
+    render_table(
+        &[
+            "N",
+            "threads",
+            "epochs",
+            "epochs/s",
+            "wall",
+            "source CPU",
+            "agg CPU",
+            "querier CPU",
+            "speedup",
+        ],
+        &rows,
+    )
 }
 
 fn throughput_exp(opts: &Options, threads: Threads, max_n: u64, out: &Path) {
@@ -546,164 +577,40 @@ fn throughput_exp(opts: &Options, threads: Threads, max_n: u64, out: &Path) {
     }
     let epochs = opts.epochs.max(1);
     println!(
-        "\n== Throughput: parallel epoch pipeline (seed {}, {} epochs/config, threads {:?}) ==",
+        "\n== Throughput: parallel epoch engine (seed {}, {} epochs/config, threads {:?}) ==",
         opts.seed, epochs, sweep
     );
     let points = throughput::throughput_suite(opts.seed, epochs, &sweep);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.n.to_string(),
-                p.threads.to_string(),
-                format!("{:.1}", p.epochs_per_sec),
-                fmt_ms(p.wall_ms),
-                fmt_ms(p.source_cpu_ms),
-                fmt_ms(p.aggregator_cpu_ms),
-                fmt_ms(p.querier_cpu_ms),
-                format!("{:.2}x", p.speedup_vs_serial),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "N",
-                "threads",
-                "epochs/s",
-                "wall",
-                "source CPU",
-                "agg CPU",
-                "querier CPU",
-                "speedup"
-            ],
-            &rows
-        )
-    );
+    println!("{}", throughput_table(&points));
     println!(
         "result digests identical across all thread counts (asserted per N) \
          and across hash lane widths 1/4/8/16 (asserted at N={})",
         throughput::THROUGHPUT_N[0]
     );
 
-    // Prewarm on/off digest sweep: the precompute-ahead key pool must
-    // change no result byte at any thread count or streaming mode.
-    println!(
-        "\n-- Prewarm: precompute-ahead epoch crypto on/off, N={}, threads {:?} --",
-        throughput::THROUGHPUT_N[0],
-        throughput::PREWARM_THREADS
-    );
-    let prewarm = throughput::prewarm_suite(opts.seed, throughput::THROUGHPUT_N[0], epochs);
-    let rows: Vec<Vec<String>> = prewarm
-        .iter()
-        .map(|p| {
-            vec![
-                p.threads.to_string(),
-                if p.streaming { "on" } else { "off" }.to_string(),
-                if p.prewarmed { "on" } else { "off" }.to_string(),
-                format!("{:.1}", p.epochs_per_sec),
-                fmt_ms(p.wall_ms),
-                p.derived.to_string(),
-                p.pool_hits.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "threads",
-                "stream",
-                "prewarm",
-                "epochs/s",
-                "wall",
-                "derived",
-                "pool hits"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "prewarm digest oracle passed: warm and cold runs bit-identical at \
-         threads {:?} x streaming off/on",
-        throughput::PREWARM_THREADS
-    );
-
-    // Struct-of-arrays scale sweep: legacy serial reference vs the flat
-    // pipeline at 1/2/8 threads × streaming off/on, digest-asserted.
+    // Scale sweep: the same engine and digest oracle at 1/2/8 threads,
+    // N up to the --max-n cap.
     let scale_ns: Vec<u64> = throughput::SCALE_N
         .iter()
         .copied()
         .filter(|&n| n <= max_n)
         .collect();
     let mut scale = Vec::new();
-    let mut comparison = None;
     if scale_ns.is_empty() {
         println!("scale sweep skipped (--max-n {max_n} below the smallest population)");
     } else {
         println!(
-            "\n-- Scale: struct-of-arrays pipeline, N up to {} --",
-            scale_ns.last().unwrap()
+            "\n-- Scale: N up to {}, threads {:?} --",
+            scale_ns.last().unwrap(),
+            throughput::SCALE_THREADS
         );
         // Epoch budget shrinks with N so the 1M point stays minutes, not
         // hours, on a 1-core host; every point still runs >= 2 epochs so
-        // the streaming overlap path is exercised.
+        // each digest spans an epoch boundary.
         let epoch_budget = move |n: u64| epochs.min((200_000 / n).max(2));
         scale = throughput::scale_suite(opts.seed, &scale_ns, epoch_budget);
-        let rows: Vec<Vec<String>> = scale
-            .iter()
-            .map(|p| {
-                vec![
-                    p.n.to_string(),
-                    p.layout.clone(),
-                    p.threads.to_string(),
-                    if p.streaming { "on" } else { "off" }.to_string(),
-                    p.epochs.to_string(),
-                    format!("{:.2}", p.epochs_per_sec),
-                    fmt_ms(p.wall_ms),
-                    if p.layout == "soa" {
-                        format!("{:.0}", p.bytes_per_node)
-                    } else {
-                        "-".to_string()
-                    },
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render_table(
-                &["N", "layout", "threads", "stream", "epochs", "epochs/s", "wall", "B/node"],
-                &rows
-            )
-        );
-        println!(
-            "serial-equivalence digest asserted: every SoA configuration \
-             (threads 1/2/8 x streaming off/on) matches the legacy engine per N"
-        );
-        // The largest SoA point's footprint feeds the telemetry gauge the
-        // CI budget gate reads.
-        if let Some(p) = scale.iter().rev().find(|p| p.layout == "soa") {
-            sies_telemetry::record_bytes_per_node(
-                (p.arena_bytes + p.state_bytes) as usize,
-                p.nodes as usize,
-            );
-        }
-
-        // Paired layout comparison at N=10k, same estimator as `repro micro`.
-        if max_n >= 10_000 {
-            let cmp = throughput::soa_vs_legacy(opts.seed, 10_000, 4, 5);
-            println!(
-                "SoA vs legacy layout at N=10000 (serial, paired-ratio median of \
-                 {} rounds x {} epochs): legacy {} soa {} -> {:.2}x",
-                cmp.rounds,
-                cmp.epochs_per_round,
-                fmt_ms(cmp.legacy_median_ms),
-                fmt_ms(cmp.soa_median_ms),
-                cmp.speedup
-            );
-            comparison = Some(cmp);
-        }
+        println!("{}", throughput_table(&scale));
+        println!("result digests identical across threads 1/2/8 (asserted per N)");
     }
 
     let cpu_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
@@ -713,14 +620,10 @@ fn throughput_exp(opts: &Options, threads: Threads, max_n: u64, out: &Path) {
             peak_rss_bytes: sies_telemetry::record_peak_rss(),
             lane_width: sies_crypto::lanes::lane_width(),
             scale_max_n: scale_ns.last().copied().unwrap_or(0),
-            note: "speedup_vs_serial ~1.0 is expected when cpu_cores is 1; \
-                   bytes_per_node covers the flat arena plus both epoch buffers"
-                .to_string(),
+            note: "speedup_vs_serial ~1.0 is expected when cpu_cores is 1".to_string(),
         },
         sweep: points,
         scale,
-        prewarm,
-        soa_vs_legacy: comparison,
     };
     println!("detected {cpu_cores} CPU core(s)");
     let _ = write_json_seeded(out, "throughput", opts.seed, &artifact);

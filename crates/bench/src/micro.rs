@@ -17,9 +17,7 @@
 //!   scalar free-function loop that re-derives the pad blocks per call;
 //! * the W-lane Montgomery batch kernels (`pow_mod_many`,
 //!   `chain_pow_mod_many`, `fold_many` over the 1024-bit fixture
-//!   modulus, lane-interleaved CIOS) vs the scalar `BigMontCtx` loop;
-//! * the prewarmed source-init path (`batch_source_init` hitting a
-//!   pre-filled epoch-key pool) vs the derive-on-demand deployment.
+//!   modulus, lane-interleaved CIOS) vs the scalar `BigMontCtx` loop.
 //!
 //! Keys are built from fixed 1024-bit prime fixtures (`p, q ≡ 2 (mod 3)`,
 //! generated once with the in-tree Miller–Rabin) so runs are reproducible
@@ -29,10 +27,8 @@
 //! against the scalar path; a mismatch aborts the suite.
 
 use crate::timing::time_median_us;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use sies_core::{parallel, SystemParams};
+use sies_core::parallel;
 use sies_crypto::bigmont::BigMontCtx;
 use sies_crypto::bigmontxn;
 use sies_crypto::biguint::BigUint;
@@ -43,8 +39,6 @@ use sies_crypto::prf::{self, KeyedPrf};
 use sies_crypto::rsa::RsaKeyPair;
 use sies_crypto::u256::U256;
 use sies_crypto::DEFAULT_PRIME_256;
-use sies_net::scheme::AggregationScheme;
-use sies_net::{PrewarmPolicy, SiesDeployment};
 
 /// Fixed 1024-bit primes, `≡ 2 (mod 3)`, found by seeded search with the
 /// in-tree prime generator. P0·P1 is the RSA-2048 fixture modulus, P2·P3
@@ -60,8 +54,8 @@ const CHAIN_LEN: u64 = 16;
 /// Elements in the fold / batch-inversion kernels.
 const FOLD_LEN: usize = 256;
 const BATCH_LEN: usize = 64;
-/// Batch sizes for the lane-parallel PRF, Montgomery-batch, and prewarm
-/// kernels (the largest matches the paper's default source population).
+/// Batch sizes for the lane-parallel PRF and Montgomery-batch kernels
+/// (the largest matches the paper's default source population).
 const PRF_BATCH: [usize; 3] = [64, 256, 1000];
 /// Lane widths the PRF and Montgomery-batch oracles verify (every
 /// kernel instantiation, including the AVX-512 x16 request that falls
@@ -572,44 +566,6 @@ pub fn micro_suite(runs: usize, oracle_threads: &[usize]) -> MicroReport {
                     .collect::<Vec<_>>()
             },
             || bigmontxn::fold_many(&bctx, &refs),
-        ));
-    }
-
-    // Prewarmed source init: `batch_source_init` hitting a pool that
-    // already holds the epoch's key material (table lookup + encode +
-    // one CIOS multiply per job) vs the derive-on-demand batched path
-    // on a pool-disabled deployment. The ciphertexts are identical
-    // either way — the prewarm digest-identity contract — so the delta
-    // is exactly the PRF work moved off the critical path.
-    let mut rng = StdRng::seed_from_u64(0x51E5);
-    let cold_dep = SiesDeployment::new(&mut rng, SystemParams::new(nmax as u64).unwrap());
-    let mut rng = StdRng::seed_from_u64(0x51E5);
-    let warm_dep = SiesDeployment::new(&mut rng, SystemParams::new(nmax as u64).unwrap())
-        .with_prewarm(PrewarmPolicy::default());
-    let prewarm_epoch = 41u64;
-    assert!(
-        warm_dep.prewarm_derive(prewarm_epoch),
-        "prewarm pool must hold the measured epoch"
-    );
-    let jobs: Vec<(u32, u64)> = (0..nmax as u32).map(|i| (i, 1000 + i as u64)).collect();
-    // Pre-flight identity check: every pooled ciphertext must equal the
-    // on-demand one before the timings mean anything.
-    for (cold, warm) in cold_dep
-        .batch_source_init(prewarm_epoch, &jobs)
-        .iter()
-        .zip(&warm_dep.batch_source_init(prewarm_epoch, &jobs))
-    {
-        match (cold, warm) {
-            (Ok(a), Ok(b)) if a.to_bytes() == b.to_bytes() => {}
-            _ => panic!("prewarmed source init diverged from the on-demand path"),
-        }
-    }
-    for &n in &PRF_BATCH {
-        kernels.push(KernelResult::measure(
-            &format!("prewarm_source_init_n{n}"),
-            runs,
-            || cold_dep.batch_source_init(prewarm_epoch, &jobs[..n]),
-            || warm_dep.batch_source_init(prewarm_epoch, &jobs[..n]),
         ));
     }
 

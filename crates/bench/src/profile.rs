@@ -25,7 +25,7 @@ use sies_core::SystemParams;
 use sies_net::chaos::{run_chaos, ChaosConfig};
 use sies_net::journal::{FsyncPolicy, JournalConfig, Receipt, ReceiptJournal};
 use sies_net::recovery::RecoveryConfig;
-use sies_net::{PrewarmPolicy, SiesDeployment, Threads, Topology};
+use sies_net::{SiesDeployment, Threads, Topology};
 use sies_telemetry as tel;
 use sies_telemetry::{AlertEngine, ProfileData, Profiler, TimelineCapture};
 use std::time::Instant;
@@ -414,17 +414,6 @@ pub fn detection_oracle(seed: u64, clean_epochs: u64, threads: Threads) -> Oracl
     // The lag gauge is absolute (diff keeps the latest value): park it
     // back at zero so later windows aren't haunted by this scenario.
     tel::set_gauge!("journal.fsync_lag", 0);
-
-    // A cold, enabled prewarm pool misses every lookup.
-    scenario("cold_prewarm", "prewarm_miss_rate", &mut || {
-        dep.set_prewarm_policy(PrewarmPolicy::default());
-        let cfg = ChaosConfig {
-            epochs: 32,
-            ..clean_cfg
-        };
-        let _ = run_chaos(&dep, &topo, &cfg);
-        dep.set_prewarm_policy(PrewarmPolicy::disabled());
-    });
 
     tel::clear_enabled();
 

@@ -182,6 +182,10 @@ pub struct Receiver {
     /// Last authenticated chain element and its interval.
     auth_key: ChainKey,
     auth_interval: u64,
+    /// Chain length `n`: the last interval the broadcaster can ever
+    /// disclose (known system parameter, like `delay`). Bounds the work
+    /// any one disclosure or checkpoint can demand.
+    intervals: u64,
     /// Disclosure delay `d` (known system parameter).
     delay: u64,
     /// Buffered, not-yet-verifiable packets.
@@ -196,11 +200,14 @@ pub struct Receiver {
 }
 
 impl Receiver {
-    /// Bootstraps from the authentic commitment `K_0`.
-    pub fn new(commitment: ChainKey, delay: u64) -> Self {
+    /// Bootstraps from the authentic commitment `K_0` of a chain covering
+    /// intervals `1..=intervals` with disclosure delay `delay` — the same
+    /// parameters [`Broadcaster::new`] took.
+    pub fn new(commitment: ChainKey, intervals: u64, delay: u64) -> Self {
         Receiver {
             auth_key: commitment,
             auth_interval: 0,
+            intervals,
             delay,
             pending: Vec::new(),
             window: Vec::new(),
@@ -248,11 +255,22 @@ impl Receiver {
     /// safe because the security condition was already enforced when each
     /// packet was buffered — its key had not been disclosed at receive
     /// time.
+    ///
+    /// A disclosure beyond the chain length is rejected before any
+    /// hashing or allocation, so one forged packet costs at most
+    /// `intervals` chain steps.
     pub fn on_disclosure(&mut self, disclosure: Disclosure) -> Result<Vec<Vec<u8>>, SiesError> {
         if disclosure.interval <= self.auth_interval {
             return Err(SiesError::BroadcastAuthFailure(
                 "stale key disclosure".into(),
             ));
+        }
+        if disclosure.interval > self.intervals {
+            tel::count!("core.mutesla.disclosures_out_of_chain");
+            return Err(SiesError::BroadcastAuthFailure(format!(
+                "disclosure for interval {} is beyond the {}-interval chain",
+                disclosure.interval, self.intervals
+            )));
         }
         // Authenticate: hashing forward (interval - auth_interval) times
         // must reach the last authenticated element. The intermediate
@@ -380,13 +398,20 @@ impl Receiver {
     /// commitment: hashing `key` forward `interval` times must reproduce
     /// `K_0`. A checkpoint that does not chain back is rejected — a
     /// corrupted or forged journal cannot move the receiver onto a
-    /// different chain.
+    /// different chain. An `interval` beyond the chain length is
+    /// rejected before any hashing.
     pub fn resume(
         commitment: ChainKey,
+        intervals: u64,
         delay: u64,
         interval: u64,
         key: ChainKey,
     ) -> Result<Self, SiesError> {
+        if interval > intervals {
+            return Err(SiesError::BroadcastAuthFailure(format!(
+                "checkpointed interval {interval} is beyond the {intervals}-interval chain"
+            )));
+        }
         let mut walked = key;
         for _ in 0..interval {
             walked = chain_step(&walked);
@@ -400,6 +425,7 @@ impl Receiver {
         Ok(Receiver {
             auth_key: key,
             auth_interval: interval,
+            intervals,
             delay,
             pending: Vec::new(),
             window: Vec::new(),
@@ -417,7 +443,7 @@ mod tests {
     fn setup(intervals: u64, delay: u64) -> (Broadcaster, Receiver) {
         let mut rng = StdRng::seed_from_u64(77);
         let b = Broadcaster::new(&mut rng, intervals, delay);
-        let r = Receiver::new(b.commitment(), delay);
+        let r = Receiver::new(b.commitment(), intervals, delay);
         (b, r)
     }
 
@@ -574,6 +600,36 @@ mod tests {
     }
 
     #[test]
+    fn disclosures_beyond_the_chain_fail_before_any_work() {
+        // Unbounded, a forged far-future disclosure allocates and hashes
+        // `interval - auth_interval` keys before the anchor check: 2^22
+        // costs seconds and 128 MiB, and u64::MAX overflows the capacity
+        // and panics. Both must fail before any work.
+        let (b, mut r) = setup(64, 2);
+        for interval in [u64::MAX, 1 << 22, 65] {
+            let forged = Disclosure {
+                interval,
+                key: [0x42; 32],
+            };
+            assert!(matches!(
+                r.on_disclosure(forged),
+                Err(SiesError::BroadcastAuthFailure(_))
+            ));
+        }
+        assert_eq!(r.auth_interval(), 0);
+        // The receiver is untouched and still follows the real chain to
+        // its last interval.
+        r.receive(64, b.broadcast(64, b"last")).unwrap();
+        assert_eq!(
+            r.on_disclosure(b.disclose(64)).unwrap(),
+            vec![b"last".to_vec()]
+        );
+        // Checkpoints are bounded the same way.
+        assert!(Receiver::resume(b.commitment(), 64, 2, u64::MAX, [0; 32]).is_err());
+        assert!(Receiver::resume(b.commitment(), 64, 2, 1 << 22, [0; 32]).is_err());
+    }
+
+    #[test]
     fn checkpoint_resume_round_trips_mid_chain() {
         let (b, mut r) = setup(10, 2);
         for i in 1..=4 {
@@ -586,7 +642,7 @@ mod tests {
 
         // A restarted receiver resumes at the checkpoint and keeps
         // authenticating from there.
-        let mut r2 = Receiver::resume(b.commitment(), 2, interval, key).unwrap();
+        let mut r2 = Receiver::resume(b.commitment(), 10, 2, interval, key).unwrap();
         assert_eq!(r2.auth_interval(), 4);
         assert!(
             r2.on_disclosure(b.disclose(4)).is_err(),
@@ -600,17 +656,17 @@ mod tests {
     #[test]
     fn resume_rejects_forged_checkpoints() {
         let (b, _r) = setup(10, 2);
-        assert!(Receiver::resume(b.commitment(), 2, 3, [0xAB; 32]).is_err());
+        assert!(Receiver::resume(b.commitment(), 10, 2, 3, [0xAB; 32]).is_err());
         // Right key, wrong interval: the walk lands elsewhere.
         let key = b.disclose(3).key;
-        assert!(Receiver::resume(b.commitment(), 2, 4, key).is_err());
-        assert!(Receiver::resume(b.commitment(), 2, 3, key).is_ok());
+        assert!(Receiver::resume(b.commitment(), 10, 2, 4, key).is_err());
+        assert!(Receiver::resume(b.commitment(), 10, 2, 3, key).is_ok());
     }
 
     #[test]
     fn resume_at_interval_zero_is_a_fresh_receiver() {
         let (b, _r) = setup(5, 1);
-        let r = Receiver::resume(b.commitment(), 1, 0, b.commitment()).unwrap();
+        let r = Receiver::resume(b.commitment(), 5, 1, 0, b.commitment()).unwrap();
         assert_eq!(r.auth_interval(), 0);
     }
 
@@ -642,7 +698,7 @@ mod tests {
     fn prewarmed_packets_verify_end_to_end() {
         let mut rng = StdRng::seed_from_u64(9);
         let mut b = Broadcaster::new(&mut rng, 10, 2);
-        let mut r = Receiver::new(b.commitment(), 2);
+        let mut r = Receiver::new(b.commitment(), 10, 2);
         b.prewarm_mac_window(1, 10);
         r.receive(1, b.broadcast(1, b"warm query")).unwrap();
         let msgs = r.on_disclosure(b.disclose(1)).unwrap();

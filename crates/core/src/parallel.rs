@@ -1,4 +1,4 @@
-//! Order-preserving scoped-thread sharding for epoch pipelines.
+//! Order-preserving scoped-thread sharding for the epoch engine.
 //!
 //! The engine shards the per-sensor work of one epoch (PRF derivation,
 //! encryption, share generation) across a pool of `std::thread::scope`
@@ -12,7 +12,7 @@
 use sies_telemetry as tel;
 use std::num::NonZeroUsize;
 
-/// Worker-pool sizing for the parallel epoch pipeline.
+/// Worker-pool sizing for the parallel epoch engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Threads {
     /// Use [`std::thread::available_parallelism`] (falls back to 1 when
@@ -143,60 +143,6 @@ where
         .collect()
 }
 
-/// Runs `f(index, &items[i], &mut outs[i])` for every pair, sharding
-/// contiguous pair ranges across at most `threads` scoped workers. Each
-/// worker owns a disjoint `&mut` slice of `outs`, so no synchronization
-/// is needed and — unlike [`map_ordered`] — **nothing is allocated**:
-/// results land in caller-owned slots. This is the hand-off the streamed
-/// epoch pipeline relies on for its zero-allocation steady state
-/// (`threads <= 1` runs fully inline).
-///
-/// `f` sees the pair's global index, so output is independent of the
-/// chunking exactly as in [`map_ordered`].
-///
-/// # Panics
-/// When `items` and `outs` differ in length.
-pub fn for_each_pair_mut<T, U, F>(threads: usize, items: &[T], outs: &mut [U], f: F)
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T, &mut U) + Sync,
-{
-    assert_eq!(
-        items.len(),
-        outs.len(),
-        "for_each_pair_mut needs one output slot per item"
-    );
-    if items.is_empty() {
-        return;
-    }
-    let workers = threads.max(1).min(items.len());
-    if workers == 1 {
-        let _shard = tel::span!("parallel.shard");
-        for (i, (item, out)) in items.iter().zip(outs.iter_mut()).enumerate() {
-            f(i, item, out);
-        }
-        return;
-    }
-    let chunk_len = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, (in_chunk, out_chunk)) in items
-            .chunks(chunk_len)
-            .zip(outs.chunks_mut(chunk_len))
-            .enumerate()
-        {
-            let base = w * chunk_len;
-            let f = &f;
-            scope.spawn(move || {
-                let _shard = tel::span!("parallel.shard");
-                for (j, (item, out)) in in_chunk.iter().zip(out_chunk.iter_mut()).enumerate() {
-                    f(base + j, item, out);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,33 +206,5 @@ mod tests {
     fn map_chunks_empty_input() {
         let empty: Vec<u8> = Vec::new();
         assert!(map_chunks(4, &empty, |c| c.len()).is_empty());
-    }
-
-    #[test]
-    fn for_each_pair_mut_matches_serial_for_every_thread_count() {
-        let items: Vec<u64> = (0..513).collect();
-        let mut expected = vec![0u64; items.len()];
-        for (i, (v, o)) in items.iter().zip(expected.iter_mut()).enumerate() {
-            *o = v * 7 + i as u64;
-        }
-        for threads in [1, 2, 3, 8, 64, 1000] {
-            let mut outs = vec![0u64; items.len()];
-            for_each_pair_mut(threads, &items, &mut outs, |i, v, o| *o = v * 7 + i as u64);
-            assert_eq!(outs, expected, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn for_each_pair_mut_empty_input() {
-        let empty: Vec<u8> = Vec::new();
-        let mut outs: Vec<u8> = Vec::new();
-        for_each_pair_mut(4, &empty, &mut outs, |_, _, _| unreachable!());
-    }
-
-    #[test]
-    #[should_panic(expected = "one output slot per item")]
-    fn for_each_pair_mut_rejects_length_mismatch() {
-        let mut outs = vec![0u8; 2];
-        for_each_pair_mut(1, &[1u8, 2, 3], &mut outs, |_, _, _| {});
     }
 }

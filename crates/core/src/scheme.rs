@@ -256,85 +256,6 @@ impl Source {
             })
             .collect()
     }
-
-    /// Derives one epoch's complete key material — the shared cipher plus
-    /// every source's `k_{i,t}` and `ss_{i,t}` — ahead of the epoch, so a
-    /// precompute pool can do the PRF sweeps during the inter-epoch idle
-    /// gap. Both sweeps run through the same multi-lane batch pipeline as
-    /// [`Source::initialize_batch`], so consuming the material via
-    /// [`Source::initialize_prewarmed`] is bit-identical to deriving on
-    /// demand. Returns `None` for an empty deployment.
-    pub fn derive_epoch_keys(sources: &[Source], epoch: Epoch) -> Option<EpochKeyMaterial> {
-        let first = sources.first()?;
-        let cipher = first.epoch_cipher(epoch);
-        let p = first.creds.params.prime();
-        let k_its = prf::derive_mod_p_many(sources.iter().map(|s| &s.source_prf), epoch, p);
-        let sss = prf::hm1_epoch_many(sources.iter().map(|s| &s.source_prf), epoch);
-        Some(EpochKeyMaterial {
-            epoch,
-            cipher,
-            k_its,
-            sss,
-        })
-    }
-
-    /// The initialization phase against prewarmed key material: no PRF
-    /// calls at all — one table lookup, one encode, one Montgomery
-    /// multiply. Bit-identical to [`Source::initialize_with`] for the
-    /// same epoch (asserted by `prewarmed_initialize_matches_serial`
-    /// below).
-    ///
-    /// # Panics
-    /// Panics if `keys` was derived for a different deployment (this
-    /// source's id is out of range).
-    pub fn initialize_prewarmed(
-        &self,
-        keys: &EpochKeyMaterial,
-        value: u64,
-    ) -> Result<Psr, SiesError> {
-        let idx = self.creds.id as usize;
-        debug_assert_eq!(
-            keys.cipher.prime(),
-            self.creds.params.prime(),
-            "key material built for a different modulus"
-        );
-        let k_it = &keys.k_its[idx];
-        let ss = &keys.sss[idx];
-        let m = codec::encode_message(&self.creds.params, value, ss)?;
-        Ok(Psr {
-            ciphertext: keys.cipher.encrypt(&m, k_it),
-        })
-    }
-}
-
-/// One epoch's complete precomputed key material for a deployment:
-/// the epoch-shared cipher (`K_t` in the Montgomery domain) and the
-/// per-source blinding keys and secret shares, indexed by [`SourceId`].
-/// Produced ahead of time by [`Source::derive_epoch_keys`]; consumed by
-/// [`Source::initialize_prewarmed`].
-#[derive(Clone)]
-pub struct EpochKeyMaterial {
-    epoch: Epoch,
-    cipher: EpochCipher,
-    k_its: Vec<U256>,
-    sss: Vec<SecretShare>,
-}
-
-impl EpochKeyMaterial {
-    /// The epoch this material was derived for.
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
-    }
-
-    /// The epoch-shared cipher.
-    pub fn cipher(&self) -> &EpochCipher {
-        &self.cipher
-    }
-
-    /// Number of sources covered.
-    pub fn num_sources(&self) -> usize {
-        self.k_its.len()
-    }
 }
 
 impl Aggregator {
@@ -726,40 +647,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn prewarmed_initialize_matches_serial() {
-        // Key material derived ahead of the epoch must produce the same
-        // ciphertexts (and the same errors) as on-demand derivation —
-        // the core half of the prewarm digest-identity guarantee.
-        let (_, sources, _) = full_setup(12, 23);
-        for epoch in [0u64, 3, 1_000_003] {
-            let keys = Source::derive_epoch_keys(&sources, epoch).unwrap();
-            assert_eq!(keys.epoch(), epoch);
-            assert_eq!(keys.num_sources(), 12);
-            for (i, s) in sources.iter().enumerate() {
-                let v = (i as u64) * 17 + epoch % 89;
-                assert_eq!(
-                    s.initialize_prewarmed(&keys, v).unwrap(),
-                    s.initialize(epoch, v).unwrap(),
-                    "source {i} epoch {epoch}"
-                );
-            }
-            // Out-of-range readings fail identically on both paths.
-            let too_big = u64::MAX;
-            assert_eq!(
-                sources[4]
-                    .initialize_prewarmed(&keys, too_big)
-                    .unwrap_err()
-                    .to_string(),
-                sources[4]
-                    .initialize(epoch, too_big)
-                    .unwrap_err()
-                    .to_string()
-            );
-        }
-        assert!(Source::derive_epoch_keys(&[], 5).is_none());
     }
 
     #[test]

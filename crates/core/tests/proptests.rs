@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use sies_core::codec::{decode_final, encode_message, share_to_u256, sum_shares, SecretShare};
-use sies_core::mutesla::{Broadcaster, Receiver};
+use sies_core::mutesla::{Broadcaster, Disclosure, Receiver};
 use sies_core::params::{ResultWidth, SystemParams};
 use sies_core::scheme::{setup, Psr, Source};
 use sies_crypto::u256::U256;
@@ -122,6 +122,47 @@ proptest! {
 
     // ---- muTesla ---------------------------------------------------------
 
+    /// No disclosure an attacker can put on the channel panics a
+    /// receiver, and every forged one is rejected; afterwards the
+    /// receiver still authenticates the genuine chain.
+    #[test]
+    fn mutesla_arbitrary_disclosures_never_panic(
+        seed in any::<u64>(),
+        raw in proptest::collection::vec(any::<u64>(), 1..8),
+        small_mask in any::<u8>(),
+        genuine_mask in any::<u8>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let broadcaster = Broadcaster::new(&mut rng, 16, 2);
+        let mut receiver = Receiver::new(broadcaster.commitment(), 16, 2);
+        for (i, &r) in raw.iter().enumerate() {
+            // Half the draws land near the chain so genuine keys, stale
+            // intervals and the chain end all get exercised.
+            let interval = if small_mask >> i & 1 == 1 { r % 20 } else { r };
+            let genuine = genuine_mask >> i & 1 == 1 && (1..=16).contains(&interval);
+            let key = if genuine {
+                broadcaster.disclose(interval).key
+            } else {
+                let mut key = [0u8; 32];
+                rng.fill_bytes(&mut key);
+                key
+            };
+            let fresh = interval > receiver.auth_interval();
+            let d = Disclosure { interval, key };
+            prop_assert_eq!(receiver.on_disclosure(d).is_ok(), genuine && fresh);
+        }
+        let next = receiver.auth_interval() + 1;
+        if next <= 16 {
+            receiver
+                .receive(next, broadcaster.broadcast(next, b"still live"))
+                .unwrap();
+            prop_assert_eq!(
+                receiver.on_disclosure(broadcaster.disclose(next)).unwrap(),
+                vec![b"still live".to_vec()]
+            );
+        }
+    }
+
     /// Any subset of broadcast intervals, disclosed in order, verifies
     /// all and only the packets MACed under the authentic chain.
     #[test]
@@ -131,7 +172,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let broadcaster = Broadcaster::new(&mut rng, 12, 2);
-        let mut receiver = Receiver::new(broadcaster.commitment(), 2);
+        let mut receiver = Receiver::new(broadcaster.commitment(), 12, 2);
         let mut expected = 0usize;
         for interval in 1..=10u64 {
             if sent_mask >> (interval - 1) & 1 == 1 {

@@ -2,13 +2,11 @@
 //! [`crate::scheme::AggregationScheme`] abstraction so the epoch engine
 //! can drive it alongside the baselines.
 
-use crate::prewarm::{PrewarmPolicy, PrewarmPool, PrewarmStats};
 use crate::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
 use rand::RngCore;
-use sies_core::scheme::{setup, Aggregator, EpochKeyMaterial, Psr, Querier, Source};
+use sies_core::scheme::{setup, Aggregator, Psr, Querier, Source};
 use sies_core::{Epoch, SiesError, SourceId, SystemParams};
 use sies_crypto::u256::U256;
-use std::sync::{Arc, Mutex};
 
 /// A full SIES deployment: all source credentials, the aggregator
 /// configuration, and the querier's key material.
@@ -16,13 +14,6 @@ pub struct SiesDeployment {
     sources: Vec<Source>,
     aggregator: Aggregator,
     querier: Querier,
-    /// Precomputed next-epoch key material ([`crate::prewarm`]). Starts
-    /// disabled so existing callers see identical behavior; a pipeline
-    /// (or test) opts in via [`SiesDeployment::set_prewarm_policy`].
-    /// Entries are `Arc`-shared so a lookup clones a pointer, not the
-    /// per-source key vectors, and concurrent shard workers of one
-    /// epoch all hit the same derivation.
-    prewarm: Mutex<PrewarmPool<Arc<EpochKeyMaterial>>>,
 }
 
 impl SiesDeployment {
@@ -34,7 +25,6 @@ impl SiesDeployment {
             sources,
             aggregator,
             querier,
-            prewarm: Mutex::new(PrewarmPool::new(PrewarmPolicy::disabled())),
         }
     }
 
@@ -51,71 +41,6 @@ impl SiesDeployment {
     /// Number of deployed sources.
     pub fn num_sources(&self) -> u64 {
         self.sources.len() as u64
-    }
-
-    /// Installs a precompute policy (disabling clears the pool). The
-    /// pool only ever caches key material that on-demand derivation
-    /// would produce bit-for-bit, so this never changes any result —
-    /// only where the PRF sweeps run.
-    pub fn set_prewarm_policy(&self, policy: PrewarmPolicy) {
-        self.prewarm
-            .lock()
-            .expect("prewarm lock")
-            .set_policy(policy);
-    }
-
-    /// Builder form of [`SiesDeployment::set_prewarm_policy`].
-    pub fn with_prewarm(self, policy: PrewarmPolicy) -> Self {
-        self.set_prewarm_policy(policy);
-        self
-    }
-
-    /// Lifetime pool counters (hits/misses/derived/evicted/cancelled).
-    pub fn prewarm_stats(&self) -> PrewarmStats {
-        self.prewarm.lock().expect("prewarm lock").stats()
-    }
-
-    /// The epochs a warmer thread should derive next, given the last
-    /// epoch the engine finished.
-    pub fn prewarm_plan(&self, watermark: Epoch) -> Vec<Epoch> {
-        self.prewarm.lock().expect("prewarm lock").plan(watermark)
-    }
-
-    /// Drops pooled material the watermark has passed.
-    pub fn prewarm_retire(&self, watermark: Epoch) {
-        self.prewarm.lock().expect("prewarm lock").retire(watermark);
-    }
-
-    /// Derives and pools `epoch`'s full key set (shared cipher plus all
-    /// per-source keys and shares) through the same lane-batched PRF
-    /// sweeps the hot path uses. The expensive derivation runs outside
-    /// the pool lock; returns whether the pool kept the result (`false`
-    /// when disabled, already pooled, or lost a race to another
-    /// warmer).
-    pub fn prewarm_derive(&self, epoch: Epoch) -> bool {
-        {
-            let pool = self.prewarm.lock().expect("prewarm lock");
-            if !pool.policy().enabled || pool.contains(epoch) {
-                return false;
-            }
-        }
-        let Some(keys) = Source::derive_epoch_keys(&self.sources, epoch) else {
-            return false;
-        };
-        self.prewarm
-            .lock()
-            .expect("prewarm lock")
-            .insert(epoch, Arc::new(keys))
-    }
-
-    /// Non-destructive pool probe: the `Arc` clone is a pointer copy,
-    /// and the entry stays for the epoch's other shard workers.
-    fn prewarm_lookup(&self, epoch: Epoch) -> Option<Arc<EpochKeyMaterial>> {
-        self.prewarm
-            .lock()
-            .expect("prewarm lock")
-            .lookup(epoch)
-            .cloned()
     }
 }
 
@@ -151,26 +76,6 @@ impl AggregationScheme for SiesDeployment {
         epoch: Epoch,
         jobs: &[(SourceId, u64)],
     ) -> Vec<Result<Psr, SchemeError>> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        // Prewarm fast path: when a warmer already derived this epoch's
-        // key material during the idle gap, every job collapses to a
-        // table lookup + encode + one CIOS multiply — zero PRF calls on
-        // the critical path. Results (and error shapes) are identical to
-        // the derive-on-demand path below, so digests never depend on
-        // pool state.
-        if let Some(keys) = self.prewarm_lookup(epoch) {
-            return jobs
-                .iter()
-                .map(|&(source, value)| match self.sources.get(source as usize) {
-                    None => Err(SchemeError::Malformed(format!("unknown source {source}"))),
-                    Some(src) => src
-                        .initialize_prewarmed(&keys, value)
-                        .map_err(|e| SchemeError::Malformed(e.to_string())),
-                })
-                .collect();
-        }
         // Hoist the epoch-shared work: K_t derived once and entered into
         // the Montgomery domain once per shard, so each job costs one
         // HM256, one HM1 and a single CIOS multiply. Ciphertexts are
@@ -210,41 +115,6 @@ impl AggregationScheme for SiesDeployment {
                     .map_err(|e| SchemeError::Malformed(e.to_string())),
             })
             .collect()
-    }
-
-    fn batch_source_init_into(
-        &self,
-        epoch: Epoch,
-        jobs: &[(SourceId, u64)],
-        out: &mut Vec<Result<Psr, SchemeError>>,
-    ) {
-        // Keep the lane-batched fast path. The batched kernels build
-        // intermediate vectors internally, so this override trades the
-        // trait default's zero-allocation property for SIES' ~4x PRF
-        // speedup; the reused `out` buffer still absorbs the outer
-        // allocation.
-        out.clear();
-        out.extend(self.batch_source_init(epoch, jobs));
-    }
-
-    fn prewarm_enabled(&self) -> bool {
-        self.prewarm.lock().expect("prewarm lock").policy().enabled
-    }
-
-    fn prewarm_epoch(&self, epoch: Epoch) {
-        self.prewarm_derive(epoch);
-    }
-
-    fn prewarm_plan(&self, watermark: Epoch) -> Vec<Epoch> {
-        SiesDeployment::prewarm_plan(self, watermark)
-    }
-
-    fn prewarm_retire(&self, watermark: Epoch) {
-        SiesDeployment::prewarm_retire(self, watermark);
-    }
-
-    fn prewarm_cancel(&self) {
-        self.prewarm.lock().expect("prewarm lock").cancel_all();
     }
 
     fn merge(&self, psrs: &[Psr]) -> Psr {
@@ -392,65 +262,6 @@ mod tests {
         let out = engine.run_epoch_with(2, &[10; 16], &failed, &[]);
         let res = out.result.unwrap();
         assert_eq!(res.sum, 140.0);
-    }
-
-    #[test]
-    fn prewarmed_epoch_is_bit_identical_to_cold() {
-        // Two deployments from the same seed; one precomputes, one
-        // derives on demand. Every PSR (and every error) must match —
-        // the deployment half of the prewarm digest-identity oracle.
-        let cold = deployment(24);
-        let warm = deployment(24).with_prewarm(PrewarmPolicy::default());
-        let jobs: Vec<(SourceId, u64)> = (0..24).map(|i| (i, 500 + i as u64 * 7)).collect();
-        for epoch in 0..4u64 {
-            if epoch % 2 == 0 {
-                assert!(warm.prewarm_derive(epoch), "derivation pooled");
-                assert!(!warm.prewarm_derive(epoch), "duplicate derivation dropped");
-            } // odd epochs miss the pool and derive on demand
-            let a = cold.batch_source_init(epoch, &jobs);
-            let b = warm.batch_source_init(epoch, &jobs);
-            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(
-                    x.as_ref().unwrap(),
-                    y.as_ref().unwrap(),
-                    "job {i} epoch {epoch}"
-                );
-            }
-            warm.prewarm_retire(epoch);
-        }
-        let stats = warm.prewarm_stats();
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.derived, 2);
-        assert_eq!(stats.evicted, 2);
-        // Error shapes are identical on both paths too.
-        warm.prewarm_derive(9);
-        let bad = [(99u32, 1u64), (0, u64::MAX)];
-        assert_eq!(
-            cold.batch_source_init(9, &bad),
-            warm.batch_source_init(9, &bad)
-        );
-        // Cancellation (e.g. topology repair) leaves results unchanged.
-        warm.prewarm_derive(10);
-        AggregationScheme::prewarm_cancel(&warm);
-        assert_eq!(
-            cold.batch_source_init(10, &jobs[..5]),
-            warm.batch_source_init(10, &jobs[..5])
-        );
-    }
-
-    #[test]
-    fn prewarm_plan_tracks_watermark() {
-        let dep = deployment(8).with_prewarm(PrewarmPolicy {
-            enabled: true,
-            depth: 2,
-            capacity: 4,
-        });
-        assert_eq!(dep.prewarm_plan(0), vec![1, 2]);
-        dep.prewarm_derive(1);
-        assert_eq!(dep.prewarm_plan(0), vec![2]);
-        assert!(AggregationScheme::prewarm_enabled(&dep));
-        assert!(!AggregationScheme::prewarm_enabled(&deployment(8)));
     }
 
     #[test]

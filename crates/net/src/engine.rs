@@ -1046,13 +1046,6 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         // Detection-side churn signal: the `crash_churn` alert rule
         // fires on any nonzero delta of this counter.
         tel::count!("engine.adoptions", report.adoptions);
-        if !repairs.adoptions.is_empty() || !repairs.stranded.is_empty() {
-            // The tree changed under us: drop any precomputed epoch
-            // material so the warmer re-plans against the repaired
-            // world. Safe unconditionally — correctness never depends
-            // on pool contents.
-            self.scheme.prewarm_cancel();
-        }
 
         // A crashed sink means nothing can reach the querier: the epoch
         // is an availability loss, never a false accept or reject.

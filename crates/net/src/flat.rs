@@ -11,18 +11,8 @@
 //! `Vec<Node>` representation — a property the `flat_equivalence`
 //! property tests pin down on random trees and random crash sets.
 //!
-//! Two layout facts carry the streamed epoch pipeline
-//! (`crate::pipeline`):
-//!
-//! * **Subtree contiguity.** In the post-order array the subtree of any
-//!   node `v` is the contiguous segment ending at `v`'s own position
-//!   ([`subtree_range`](FlatTopology::subtree_range)). Whole subtrees of
-//!   the sink's children can therefore be sharded across workers as
-//!   plain slice ranges, each merged serially in exactly the order the
-//!   serial engine would use.
-//! * **Dense `u32` indices.** All per-node state is `u32`, so the arena
-//!   costs ~40 bytes/node ([`bytes`](FlatTopology::bytes)) and a
-//!   10⁶-sensor tree fits comfortably in cache-friendly flat storage.
+//! Every per-node array is dense `u32`, so the arena costs nine `u32`s
+//! (36 bytes) per node and a 10⁶-sensor tree fits in flat storage.
 
 use crate::topology::{NodeId, RepairPlan, Role, Topology};
 use sies_core::SourceId;
@@ -50,8 +40,6 @@ pub struct FlatTopology {
     depth: Vec<u32>,
     /// Source id of each node, or `NOT_SOURCE` for aggregators.
     source_of: Vec<u32>,
-    /// Node hosting each source id (O(1) lookup, vs the legacy O(N) scan).
-    source_node: Vec<u32>,
     /// Post-order traversal, identical to [`Topology::post_order`].
     post: Vec<u32>,
     /// Position of each node in `post`.
@@ -82,7 +70,6 @@ impl FlatTopology {
         let mut children = Vec::with_capacity(n.saturating_sub(1));
         let mut depth = Vec::with_capacity(n);
         let mut source_of = vec![NOT_SOURCE; n];
-        let mut source_node = vec![NO_NODE; topo.num_sources() as usize];
         for node in nodes {
             parent.push(node.parent.map_or(NO_NODE, |p| p as u32));
             child_start.push(children.len() as u32);
@@ -91,7 +78,6 @@ impl FlatTopology {
             depth.push(node.depth as u32);
             if let Role::Source(sid) = node.role {
                 source_of[node.id] = sid;
-                source_node[sid as usize] = node.id as u32;
             }
         }
 
@@ -137,7 +123,6 @@ impl FlatTopology {
             children,
             depth,
             source_of,
-            source_node,
             post,
             post_index,
             subtree_size,
@@ -161,11 +146,6 @@ impl FlatTopology {
         self.num_sources
     }
 
-    /// Number of aggregator nodes.
-    pub fn num_aggregators(&self) -> usize {
-        self.num_nodes() - self.num_sources as usize
-    }
-
     /// Parent node (`None` for the sink).
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
         match self.parent[id] {
@@ -187,14 +167,6 @@ impl FlatTopology {
         self.depth[id] as usize
     }
 
-    /// The node's role, reconstructed from the arena.
-    pub fn role(&self, id: NodeId) -> Role {
-        match self.source_of[id] {
-            NOT_SOURCE => Role::Aggregator,
-            sid => Role::Source(sid as SourceId),
-        }
-    }
-
     /// True when `id` is a source leaf.
     pub fn is_source(&self, id: NodeId) -> bool {
         self.source_of[id] != NOT_SOURCE
@@ -208,14 +180,6 @@ impl FlatTopology {
         }
     }
 
-    /// The node hosting `source` — O(1), unlike the legacy linear scan.
-    pub fn source_node(&self, source: SourceId) -> Option<NodeId> {
-        match self.source_node.get(source as usize) {
-            Some(&n) if n != NO_NODE => Some(n as usize),
-            _ => None,
-        }
-    }
-
     /// The precomputed post-order traversal (children before parents),
     /// identical to [`Topology::post_order`] but allocation-free: the
     /// engine walks this cached slice every epoch.
@@ -223,20 +187,9 @@ impl FlatTopology {
         &self.post
     }
 
-    /// Position of `id` within [`post_order`](Self::post_order).
-    pub fn post_position(&self, id: NodeId) -> usize {
-        self.post_index[id] as usize
-    }
-
-    /// Nodes in the subtree rooted at `id` (itself included).
-    pub fn subtree_size(&self, id: NodeId) -> usize {
-        self.subtree_size[id] as usize
-    }
-
     /// The contiguous range of [`post_order`](Self::post_order) holding
     /// exactly the subtree rooted at `id` (the node itself is the last
-    /// element). This contiguity is what lets the pipeline shard whole
-    /// subtrees as slice ranges.
+    /// element).
     pub fn subtree_range(&self, id: NodeId) -> Range<usize> {
         let end = self.post_index[id] as usize + 1;
         end - self.subtree_size[id] as usize..end
@@ -290,23 +243,6 @@ impl FlatTopology {
             }
         }
         plan
-    }
-
-    /// Heap bytes held by the arena — the numerator of the
-    /// bytes-per-node budget the throughput artifact reports.
-    pub fn bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.parent.capacity()
-            + self.child_start.capacity()
-            + self.child_len.capacity()
-            + self.children.capacity()
-            + self.depth.capacity()
-            + self.source_of.capacity()
-            + self.source_node.capacity()
-            + self.post.capacity()
-            + self.post_index.capacity()
-            + self.subtree_size.capacity())
-            * size_of::<u32>()
     }
 
     /// Checks the arena's structural invariants (parent/child symmetry,
@@ -364,11 +300,14 @@ mod tests {
         assert_eq!(flat.num_nodes(), topo.nodes().len());
         assert_eq!(flat.root(), topo.root());
         assert_eq!(flat.num_sources(), topo.num_sources());
-        assert_eq!(flat.num_aggregators(), topo.num_aggregators());
         for node in topo.nodes() {
             assert_eq!(flat.parent(node.id), node.parent);
             assert_eq!(flat.depth(node.id), node.depth);
-            assert_eq!(flat.role(node.id), node.role);
+            let sid = match node.role {
+                Role::Source(sid) => Some(sid),
+                Role::Aggregator => None,
+            };
+            assert_eq!(flat.source_id(node.id), sid);
             let kids: Vec<NodeId> = flat.children(node.id).iter().map(|&c| c as usize).collect();
             assert_eq!(kids, node.children);
         }
@@ -402,15 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn source_node_is_constant_time_equivalent() {
-        let (topo, flat) = flatten(33, 3);
-        for s in 0..33u32 {
-            assert_eq!(flat.source_node(s), topo.source_node(s));
-        }
-        assert_eq!(flat.source_node(999), None);
-    }
-
-    #[test]
     fn repair_plans_match_legacy() {
         let (topo, flat) = flatten(64, 4);
         let agg = topo.node(topo.root()).children[1];
@@ -422,12 +352,5 @@ mod tests {
         ] {
             assert_eq!(flat.repair_plan(&crashed), topo.repair_plan(&crashed));
         }
-    }
-
-    #[test]
-    fn arena_stays_under_byte_budget() {
-        let (_, flat) = flatten(10_000, 4);
-        let per_node = flat.bytes() as f64 / flat.num_nodes() as f64;
-        assert!(per_node < 64.0, "arena costs {per_node:.1} B/node");
     }
 }

@@ -152,6 +152,7 @@ pub fn replay(path: &Path, cfg: &JournalConfig) -> Result<ReplayedState, Receipt
     if let Some((interval, chain_key)) = summary.mutesla_position() {
         sies_core::mutesla::Receiver::resume(
             chain.commitment(),
+            cfg.capacity,
             chain.delay(),
             interval,
             chain_key,

@@ -34,8 +34,6 @@ pub mod energy;
 pub mod engine;
 pub mod flat;
 pub mod journal;
-pub mod pipeline;
-pub mod prewarm;
 pub mod query_engine;
 pub mod radio;
 pub mod recovery;
@@ -52,8 +50,6 @@ pub use energy::RadioModel;
 pub use engine::{Attack, EdgeBytes, Engine, EpochOutcome, EpochStats, RecoveredEpoch};
 pub use flat::FlatTopology;
 pub use journal::{fold_receipt, replay, JournalConfig, ReceiptJournal, ReplayedState};
-pub use pipeline::{EpochPipeline, EpochReport};
-pub use prewarm::{PrewarmPolicy, PrewarmPool, PrewarmStats};
 pub use query_engine::{QueryEngine, QueryOutcome};
 pub use recovery::{BackoffConfig, RecoveryConfig, RecoveryReport, UplinkOutcome, UplinkTally};
 pub use scheme::{AggregationScheme, EvaluatedSum, SchemeError};

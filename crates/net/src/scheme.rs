@@ -90,65 +90,6 @@ pub trait AggregationScheme: Sync {
             .collect()
     }
 
-    /// Allocation-aware variant of
-    /// [`batch_source_init`](Self::batch_source_init): writes the results
-    /// into `out` (cleared first, capacity retained) instead of returning
-    /// a fresh vector. The streamed epoch pipeline calls this every epoch
-    /// with a reused buffer, so once `out` has grown to the shard size the
-    /// default implementation allocates nothing in steady state.
-    ///
-    /// Must leave `out` element-wise equal to what
-    /// [`batch_source_init`](Self::batch_source_init) returns for the
-    /// same jobs. Schemes whose batched path inherently allocates (SIES'
-    /// lane-batched kernels build intermediate vectors) may still
-    /// override this for the epoch-shared-work hoist; the buffer then
-    /// only saves the outer allocation.
-    fn batch_source_init_into(
-        &self,
-        epoch: Epoch,
-        jobs: &[(SourceId, u64)],
-        out: &mut Vec<Result<Self::Psr, SchemeError>>,
-    ) {
-        out.clear();
-        out.reserve(jobs.len());
-        for &(source, value) in jobs {
-            out.push(self.try_source_init(source, epoch, value));
-        }
-    }
-
-    /// Whether this scheme can precompute upcoming epochs' key material
-    /// during idle gaps. When `true`, epoch drivers (the streamed
-    /// pipeline) pace a background warmer that calls
-    /// [`prewarm_epoch`](Self::prewarm_epoch) ahead of the engine's
-    /// watermark. Default: `false` (no prewarm support).
-    fn prewarm_enabled(&self) -> bool {
-        false
-    }
-
-    /// Precompute-ahead hook: derive and pool `epoch`'s key material so
-    /// a later [`batch_source_init`](Self::batch_source_init) for the
-    /// same epoch skips the derivation. MUST NOT change any observable
-    /// result — pooled material has to reproduce the on-demand path
-    /// bit-for-bit, making this purely a latency optimization. Default:
-    /// no-op.
-    fn prewarm_epoch(&self, _epoch: Epoch) {}
-
-    /// The epochs a warmer thread should derive next (ascending), given
-    /// the last epoch the driver finished. Default: none.
-    fn prewarm_plan(&self, _watermark: Epoch) -> Vec<Epoch> {
-        Vec::new()
-    }
-
-    /// Drops precomputed state at or below the engine's progress
-    /// `watermark` (those epochs already ran). Default: no-op.
-    fn prewarm_retire(&self, _watermark: Epoch) {}
-
-    /// Cancels all pending precomputed state — called when the world
-    /// changes under the pool (topology repair re-planning upcoming
-    /// epochs). Safe to call at any time because correctness never
-    /// depends on pool contents. Default: no-op.
-    fn prewarm_cancel(&self) {}
-
     /// Merging phase `M` at an aggregator: fuse children's PSRs.
     /// `psrs` is non-empty.
     fn merge(&self, psrs: &[Self::Psr]) -> Self::Psr;

@@ -1,17 +1,16 @@
 //! Property-based equivalence oracle: [`FlatTopology`] must be an exact
-//! drop-in for the legacy pointer-tree `Topology` on random irregular
-//! trees — same post-order, same per-node metadata, same repair plans
-//! under random crash sets — and the struct-of-arrays
-//! [`EpochPipeline`] must produce byte-identical epoch outcomes to the
-//! legacy [`Engine`] at every thread count and streaming mode.
+//! drop-in for the pointer-tree `Topology` on random irregular trees —
+//! same post-order, same per-node metadata, same repair plans under
+//! random crash sets — and the [`Engine`] must produce byte-identical
+//! epoch outcomes at every thread count, under a scheme whose merge
+//! depends on input order.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sies_net::engine::Engine;
-use sies_net::pipeline::EpochPipeline;
 use sies_net::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
-use sies_net::{FlatTopology, NodeId, Threads, Topology};
+use sies_net::{FlatTopology, NodeId, Role, Threads, Topology};
 use std::collections::HashSet;
 
 /// A cheap transparent scheme whose PSR preserves merge structure
@@ -90,6 +89,16 @@ fn random_topology(seed: u64, n: u64, fanout: usize) -> Topology {
     Topology::random_tree(&mut rng, n, fanout)
 }
 
+/// Nodes in the pointer-tree subtree rooted at `id`, itself included.
+fn subtree_size(topo: &Topology, id: NodeId) -> usize {
+    1 + topo
+        .node(id)
+        .children
+        .iter()
+        .map(|&c| subtree_size(topo, c))
+        .sum::<usize>()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -116,7 +125,11 @@ proptest! {
             let node = topo.node(id);
             prop_assert_eq!(flat.parent(id), node.parent);
             prop_assert_eq!(flat.depth(id), node.depth);
-            prop_assert_eq!(flat.role(id), node.role);
+            let sid = match node.role {
+                Role::Source(sid) => Some(sid),
+                Role::Aggregator => None,
+            };
+            prop_assert_eq!(flat.source_id(id), sid);
             let kids: Vec<NodeId> =
                 flat.children(id).iter().map(|&c| c as NodeId).collect();
             prop_assert_eq!(&kids, &node.children);
@@ -124,8 +137,8 @@ proptest! {
             // Subtree contiguity: the flat range holds exactly the
             // post-order positions of the legacy subtree.
             let range = flat.subtree_range(id);
-            prop_assert_eq!(range.len(), flat.subtree_size(id));
-            prop_assert_eq!(*flat_post[range.clone()].last().unwrap(), id);
+            prop_assert_eq!(range.len(), subtree_size(&topo, id));
+            prop_assert_eq!(*flat_post[range].last().unwrap(), id);
         }
     }
 
@@ -153,88 +166,31 @@ proptest! {
     }
 
     #[test]
-    fn pipeline_epochs_match_engine_on_random_trees(
+    fn engine_epochs_match_across_thread_counts_on_random_trees(
         seed in any::<u64>(),
         n in 1u64..90,
         fanout in 2usize..6,
-        threads in 1usize..9,
-        streaming in any::<bool>(),
     ) {
         let topo = random_topology(seed, n, fanout);
-        let flat = FlatTopology::from_topology(&topo);
-        let epochs = 3u64;
-
-        let mut engine = Engine::new(&WeightedSum, &topo);
-        let mut expected = Vec::new();
-        for epoch in 0..epochs {
-            let values: Vec<u64> =
-                (0..n).map(|i| mix(seed ^ epoch, i) & 0xFFFF).collect();
-            let out = engine.run_epoch(epoch, &values);
-            expected.push((
-                engine.last_final_psr().copied(),
-                out.result,
-                out.stats.contributors.clone(),
-            ));
-        }
-
-        let mut pipeline =
-            EpochPipeline::new(&WeightedSum, &flat, Threads::fixed(threads), streaming);
-        let mut got = Vec::new();
-        pipeline.run(
-            0,
-            epochs,
-            |epoch, values| {
-                for (i, v) in values.iter_mut().enumerate() {
-                    *v = mix(seed ^ epoch, i as u64) & 0xFFFF;
-                }
-            },
-            |_, final_psr, result, contributors| {
-                got.push((final_psr.copied(), result.clone(), contributors.to_vec()));
-            },
-        );
-        prop_assert_eq!(&got, &expected);
-    }
-}
-
-/// One deterministic SIES case so the cryptographic scheme (not just
-/// the transparent one) is pinned through the pipeline in this suite.
-#[test]
-fn sies_pipeline_matches_engine_deterministically() {
-    use sies_core::SystemParams;
-    use sies_net::deploy::SiesDeployment;
-
-    let n = 96u64;
-    let mut rng = StdRng::seed_from_u64(7);
-    let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
-    let mut topo_rng = StdRng::seed_from_u64(11);
-    let topo = Topology::random_tree(&mut topo_rng, n, 5);
-    let flat = FlatTopology::from_topology(&topo);
-
-    let mut engine = Engine::new(&dep, &topo);
-    let mut expected = Vec::new();
-    for epoch in 0..3u64 {
-        let values: Vec<u64> = (0..n).map(|i| (epoch * 37 + i * 3) % 4999).collect();
-        let out = engine.run_epoch(epoch, &values);
-        expected.push((engine.last_final_psr().map(|p| p.to_bytes()), out.result));
-    }
-
-    for threads in [1usize, 4] {
-        for streaming in [false, true] {
-            let mut pipeline = EpochPipeline::new(&dep, &flat, Threads::fixed(threads), streaming);
-            let mut got = Vec::new();
-            pipeline.run(
-                0,
-                3,
-                |epoch, values| {
-                    for (i, v) in values.iter_mut().enumerate() {
-                        *v = (epoch * 37 + i as u64 * 3) % 4999;
-                    }
-                },
-                |_, final_psr, result, _| {
-                    got.push((final_psr.map(|p| p.to_bytes()), result.clone()));
-                },
-            );
-            assert_eq!(got, expected, "threads={threads} streaming={streaming}");
+        let run = |threads: usize| {
+            let mut engine =
+                Engine::new(&WeightedSum, &topo).with_threads(Threads::fixed(threads));
+            (0..3u64)
+                .map(|epoch| {
+                    let values: Vec<u64> =
+                        (0..n).map(|i| mix(seed ^ epoch, i) & 0xFFFF).collect();
+                    let out = engine.run_epoch(epoch, &values);
+                    (
+                        engine.last_final_psr().copied(),
+                        out.result,
+                        out.stats.contributors,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let serial = run(1);
+        for threads in [2, 8] {
+            prop_assert!(run(threads) == serial, "threads = {} diverged from serial", threads);
         }
     }
 }

@@ -132,7 +132,7 @@ impl Alert {
 /// Default rule set wired to the instrumentation this workspace ships:
 /// integrity rejections, lost epochs, loss-driven retransmissions,
 /// crash-driven topology churn, telemetry self-monitoring, journal
-/// durability lag, prewarm efficiency, and the epoch latency SLO.
+/// durability lag, and the epoch latency SLO.
 pub const DEFAULT_RULES: &str = "\
 # Integrity: any rejected epoch in the window is an attack signal
 # (exact SUM verification refused the aggregate).
@@ -149,9 +149,6 @@ crash_churn: counter(engine.adoptions) > 0
 events_dropped: counter(telemetry.events_dropped) > 0
 # Durability: receipts buffered past the fsync horizon.
 fsync_lag: gauge(journal.fsync_lag) > 64
-# Precompute efficiency: the prewarm pool is thrashing (mostly
-# misses) under real lookup load.
-prewarm_miss_rate: rate(net.prewarm.misses / net.prewarm.lookups) > 0.9 min 16
 # Latency SLO: p99 epoch wall time above 10 s.
 epoch_latency_p99: p99(engine.epoch) > 10000000000 min 8
 ";
@@ -325,17 +322,13 @@ mod tests {
     #[test]
     fn default_rules_parse() {
         let rules = parse_rules(DEFAULT_RULES).unwrap();
-        assert_eq!(rules.len(), 8);
+        assert_eq!(rules.len(), 7);
         assert_eq!(rules[0].name, "integrity_reject");
         assert_eq!(
             rules[6].observable,
-            Observable::Rate("net.prewarm.misses".into(), "net.prewarm.lookups".into())
-        );
-        assert_eq!(rules[6].min_count, 16);
-        assert_eq!(
-            rules[7].observable,
             Observable::Quantile("engine.epoch".into(), 0.99)
         );
+        assert_eq!(rules[6].min_count, 8);
     }
 
     #[test]

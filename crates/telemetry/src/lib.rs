@@ -74,8 +74,7 @@ pub use alert::{Alert, AlertEngine, Rule};
 pub use journal::{Event, EventKind, Journal, EVENTS_DROPPED};
 pub use metric::{Counter, FloatCounter, Gauge, Histogram, HistogramSnapshot, HIST_BUCKETS};
 pub use process::{
-    cpu_time_ns, peak_rss_bytes, record_bytes_per_node, record_cpu_time, record_peak_rss,
-    record_process_gauges,
+    cpu_time_ns, peak_rss_bytes, record_cpu_time, record_peak_rss, record_process_gauges,
 };
 pub use profiler::{ProfileData, Profiler};
 pub use registry::{describe, global, Registry, Snapshot};

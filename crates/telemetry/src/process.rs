@@ -1,15 +1,12 @@
-//! Process-level gauges: peak RSS, per-node footprint, and cpu time.
+//! Process-level gauges: peak RSS and cpu time.
 //!
-//! The million-sensor throughput experiment promises a *stated* memory
-//! budget, so the budget has to be machine-readable: `repro throughput`
-//! emits these gauges into `BENCH_throughput.json` and CI gates on
-//! bytes-per-node. Peak RSS comes from the kernel (`VmHWM` in
-//! `/proc/self/status`), which covers everything the process ever held —
-//! key material and allocator slack included — while the bytes-per-node
-//! gauge is the engine's own accounting of its reusable epoch state.
-//! Cpu time (scheduler on-cpu nanoseconds from `/proc/self/schedstat`)
-//! lets the `/metrics` endpoint expose utilisation without any wall
-//! clock arithmetic in-process.
+//! Peak RSS comes from the kernel (`VmHWM` in `/proc/self/status`), which
+//! covers everything the process ever held — key material and allocator
+//! slack included; `repro throughput` reports it in
+//! `BENCH_throughput.json`. Cpu time (`utime + stime` from
+//! `/proc/self/stat`, summed over every thread of the process) lets the
+//! `/metrics` endpoint expose utilisation without any wall clock
+//! arithmetic in-process.
 //!
 //! Everything procfs-backed degrades gracefully off Linux: the readers
 //! return `None`, the recorders record nothing, and callers treat the
@@ -20,11 +17,8 @@ use crate::registry::global;
 /// Gauge name for the process's peak resident set size, in bytes.
 pub const PEAK_RSS_GAUGE: &str = "process.peak_rss_bytes";
 
-/// Gauge name for the epoch engine's per-node state footprint, in bytes
-/// (arena + double-buffered epoch state, excluding scheme key material).
-pub const BYTES_PER_NODE_GAUGE: &str = "engine.bytes_per_node";
-
-/// Gauge name for cumulative scheduler on-cpu time, in nanoseconds.
+/// Gauge name for cumulative process cpu time (all threads), in
+/// nanoseconds.
 pub const CPU_TIME_GAUGE: &str = "process.cpu_time_ns";
 
 /// Reads the process's peak resident set size in bytes from
@@ -60,21 +54,39 @@ pub fn record_peak_rss() -> Option<u64> {
     Some(bytes)
 }
 
-/// Reads cumulative on-cpu time for this process in nanoseconds from
-/// `/proc/self/schedstat` (first field: time spent on the cpu). The
-/// value is scheduler-accounted, so it needs no `USER_HZ` conversion.
-/// Returns `None` on platforms without procfs (or with `schedstat`
-/// compiled out) — callers must treat cpu time as unknown, not zero.
+/// Linux reports `utime` and `stime` in `USER_HZ` ticks, which the
+/// kernel ABI fixes at 100 per second.
+#[cfg(target_os = "linux")]
+const NS_PER_TICK: u64 = 10_000_000;
+
+/// Reads cumulative cpu time for this process in nanoseconds: `utime +
+/// stime` of `/proc/self/stat`, which sums every thread the process has
+/// run, joined ones included. The resolution is one `USER_HZ` tick
+/// (10 ms). Returns `None` on platforms without procfs — callers must
+/// treat cpu time as unknown, not zero.
 pub fn cpu_time_ns() -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
-        let stat = std::fs::read_to_string("/proc/self/schedstat").ok()?;
-        stat.split_whitespace().next()?.parse().ok()
+        stat_cpu_ns("/proc/self/stat")
     }
     #[cfg(not(target_os = "linux"))]
     {
         None
     }
+}
+
+/// `utime + stime` of a procfs `stat` file, in nanoseconds.
+#[cfg(target_os = "linux")]
+fn stat_cpu_ns(path: &str) -> Option<u64> {
+    let stat = std::fs::read_to_string(path).ok()?;
+    // The command name (field 2) may contain spaces and parentheses; the
+    // fields after its closing parenthesis start at field 3, so utime
+    // and stime (fields 14 and 15) sit at indices 11 and 12.
+    let (_, rest) = stat.rsplit_once(')')?;
+    let mut fields = rest.split_whitespace().skip(11);
+    let utime: u64 = fields.next()?.parse().ok()?;
+    let stime: u64 = fields.next()?.parse().ok()?;
+    Some((utime + stime) * NS_PER_TICK)
 }
 
 /// Samples [`cpu_time_ns`] and records it into the global
@@ -96,21 +108,6 @@ pub fn record_process_gauges() {
     let _ = record_cpu_time();
 }
 
-/// Records the engine's bytes-per-node footprint into the global
-/// [`BYTES_PER_NODE_GAUGE`] (when telemetry is enabled), returning the
-/// rounded value it stored.
-pub fn record_bytes_per_node(state_bytes: usize, nodes: usize) -> u64 {
-    let per_node = if nodes == 0 {
-        0
-    } else {
-        (state_bytes as u64).div_ceil(nodes as u64)
-    };
-    if crate::enabled() {
-        global().gauge(BYTES_PER_NODE_GAUGE).set(per_node);
-    }
-    per_node
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,15 +123,9 @@ mod tests {
     }
 
     #[test]
-    fn bytes_per_node_rounds_up_and_handles_zero() {
-        assert_eq!(record_bytes_per_node(0, 0), 0);
-        assert_eq!(record_bytes_per_node(100, 3), 34);
-    }
-
-    #[test]
     #[cfg(target_os = "linux")]
     fn cpu_time_is_monotone_and_plausible() {
-        let a = cpu_time_ns().expect("schedstat available on linux");
+        let a = cpu_time_ns().expect("procfs available on linux");
         // Burn a little cpu so the second sample can only be >=.
         let mut x = 0u64;
         for i in 0..200_000u64 {
@@ -145,6 +136,39 @@ mod tests {
         assert!(b >= a, "cpu time went backwards: {a} -> {b}");
         // A running test process has burned under an hour of cpu.
         assert!(b < 3_600_000_000_000_000, "cpu time {b} implausible");
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn cpu_time_counts_joined_worker_threads() {
+        // The work runs on a spawned thread only, so a reader that sees
+        // just the main thread would not rise at all.
+        const BURN: std::time::Duration = std::time::Duration::from_millis(50);
+        let before = cpu_time_ns().expect("procfs available on linux");
+        std::thread::spawn(|| {
+            let start = std::time::Instant::now();
+            let mut x = 1u64;
+            // Busy-spin until the thread itself has burned BURN of cpu;
+            // wall time bounds the loop if the thread is descheduled.
+            while start.elapsed() < BURN * 200 {
+                for i in 0..100_000u64 {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
+                }
+                let own = stat_cpu_ns("/proc/thread-self/stat").unwrap();
+                if own >= BURN.as_nanos() as u64 + NS_PER_TICK {
+                    break;
+                }
+            }
+            std::hint::black_box(x);
+        })
+        .join()
+        .unwrap();
+        let after = cpu_time_ns().unwrap();
+        assert!(
+            after - before >= BURN.as_nanos() as u64,
+            "a joined thread burned >= 50 ms of cpu but the reading rose {} ns",
+            after - before
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn main() {
 
     // --- Authenticated query dissemination (Theorem 3) -----------------
     let broadcaster = Broadcaster::new(&mut rng, 16, 2);
-    let mut sensor_rx = Receiver::new(broadcaster.commitment(), 2);
+    let mut sensor_rx = Receiver::new(broadcaster.commitment(), 16, 2);
     let query_packet = broadcaster.broadcast(1, b"SELECT SUM(temp) FROM Sensors EPOCH 1s");
     sensor_rx
         .receive(1, query_packet)
